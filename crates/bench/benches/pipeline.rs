@@ -1,8 +1,8 @@
 //! Benchmarks of each pipeline stage: ordering, symbolic analysis, plan
-//! construction, numeric factorization (sequential and threaded), and the
+//! construction, numeric factorization (sequential and scheduled), and the
 //! discrete-event simulation itself.
 
-use cholesky_core::{MachineModel, Plan, Solver, SolverOptions};
+use cholesky_core::{MachineModel, Plan, SchedOptions, Solver, SolverOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -79,8 +79,8 @@ fn bench_factorization(c: &mut Criterion) {
         b.iter(|| solver.factor_seq().unwrap())
     });
     let asg = solver.assign_heuristic(4);
-    group.bench_function("factor_threaded_p4_grid40", |b| {
-        b.iter(|| solver.factor_parallel(black_box(&asg)).unwrap())
+    group.bench_function("factor_sched_p4_grid40", |b| {
+        b.iter(|| solver.factor_sched(black_box(&asg), &SchedOptions::default()).unwrap())
     });
     // The premise of block methods: the simplicial column algorithm does
     // the same arithmetic without BLAS-3 blocks and should be slower.

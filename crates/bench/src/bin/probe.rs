@@ -1,7 +1,8 @@
 //! Feasibility probe: wall-clock cost of one full-scale simulated
-//! factorization, plus a real threaded run on a medium problem.
+//! factorization, plus a real work-stealing scheduler run on a medium
+//! problem (`probe sched`).
 
-use cholesky_core::{MachineModel, Solver, SolverOptions};
+use cholesky_core::{MachineModel, SchedOptions, Solver, SolverOptions};
 use std::time::Instant;
 
 fn main() {
@@ -16,8 +17,8 @@ fn main() {
             let suite = sparsemat::gen::scaled_paper_suite(sparsemat::gen::SuiteScale::Full);
             suite.into_iter().find(|p| p.name == "BCSSTK31").unwrap()
         }
-        "threaded" => {
-            // Real numeric factorization on threads, medium scale.
+        "sched" => {
+            // Real numeric factorization on the scheduler, medium scale.
             let prob = sparsemat::gen::cube3d(15);
             let t0 = Instant::now();
             let solver = Solver::analyze_problem(&prob, &SolverOptions::default());
@@ -29,10 +30,10 @@ fn main() {
             for p in [4usize, 16] {
                 let asg = solver.assign_heuristic(p);
                 let t2 = Instant::now();
-                let f2 = solver.factor_parallel(&asg).unwrap();
+                let f2 = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
                 let t_par = t2.elapsed().as_secs_f64();
                 println!(
-                    "threaded p={p}: {t_par:.2}s speedup {:.2} residual {:.2e}",
+                    "sched p={p}: {t_par:.2}s speedup {:.2} residual {:.2e}",
                     t_seq / t_par,
                     solver.residual(&f2)
                 );

@@ -1,8 +1,9 @@
-//! End-to-end scheduler benchmark: channel-based FIFO baseline
-//! (`fanout::factorize_fifo`, one OS thread per virtual processor, snapshot
-//! copies over channels) against the work-stealing scheduler
+//! End-to-end scheduler benchmark: the sequential reference
+//! (`fanout::factorize_seq`) against the work-stealing scheduler
 //! (`fanout::factorize_sched`, `min(p, num_cpus)` workers, critical-path
-//! priorities, zero-copy publication) on the same plans.
+//! priorities, zero-copy publication) on the same factors, with the
+//! scheduler's plans at p ∈ {16, 64}. The `sched/seq` column is the
+//! scheduler's wall time over the sequential one: below 1 is a speedup.
 //!
 //! Writes `BENCH_sched.json` with wall-clock medians plus the scheduler's
 //! execution counters ([`fanout::SchedStats`]).
@@ -13,7 +14,7 @@
 
 use bench::table::{json_str, TextTable};
 use blockmat::{BlockMatrix, BlockWork, WorkModel};
-use fanout::{factorize_fifo, factorize_sched, FifoStats, NumericFactor, Plan, SchedStats};
+use fanout::{factorize_sched, factorize_seq, NumericFactor, Plan, SchedStats};
 use mapping::Assignment;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,15 +56,14 @@ struct Row {
     problem: String,
     n: usize,
     p: usize,
-    fifo_s: f64,
+    seq_s: f64,
     sched_s: f64,
-    fifo: FifoStats,
     sched: SchedStats,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.fifo_s / self.sched_s
+    fn sched_over_seq(&self) -> f64 {
+        self.sched_s / self.seq_s
     }
 }
 
@@ -98,8 +98,8 @@ fn main() {
     for (name, prob, bs) in &problems {
         for p in [16usize, 64] {
             let (f0, plan) = prepared(prob, *bs, p);
-            let (fifo_s, fifo) =
-                time_factor(samples, &f0, |f| factorize_fifo(f, &plan).expect("fifo run"));
+            let (seq_s, ()) =
+                time_factor(samples, &f0, |f| factorize_seq(f).expect("seq run"));
             let (sched_s, sched) =
                 time_factor(samples, &f0, |f| factorize_sched(f, &plan).expect("sched run"));
             assert_eq!(sched.blocks_copied, 0, "scheduler must not copy blocks");
@@ -107,17 +107,19 @@ fn main() {
                 problem: name.clone(),
                 n: prob.n(),
                 p,
-                fifo_s,
+                seq_s,
                 sched_s,
-                fifo,
                 sched,
             });
         }
     }
 
     let mut table = TextTable::new(
-        "End-to-end factorization: FIFO vprocs (fifo) vs work-stealing scheduler (sched)",
-        &["problem", "n", "p", "workers", "fifo ms", "sched ms", "speedup", "steals", "copies fifo/sched"],
+        "End-to-end factorization: sequential reference (seq) vs work-stealing scheduler (sched)",
+        &[
+            "problem", "n", "p", "workers", "seq ms", "sched ms", "sched/seq", "steals",
+            "sched copies",
+        ],
     );
     for r in &rows {
         table.row(vec![
@@ -125,11 +127,11 @@ fn main() {
             r.n.to_string(),
             r.p.to_string(),
             r.sched.workers.to_string(),
-            format!("{:.2}", r.fifo_s * 1e3),
+            format!("{:.2}", r.seq_s * 1e3),
             format!("{:.2}", r.sched_s * 1e3),
-            format!("{:.2}x", r.speedup()),
+            format!("{:.2}", r.sched_over_seq()),
             r.sched.steals.to_string(),
-            format!("{}/{}", r.fifo.blocks_copied, r.sched.blocks_copied),
+            r.sched.blocks_copied.to_string(),
         ]);
     }
     println!("{table}");
@@ -145,8 +147,7 @@ fn main() {
         out.push_str(&format!(
             concat!(
                 "  {{\"problem\":{},\"n\":{},\"p\":{},\"block_policy\":\"uniform\",\"workers\":{},{},",
-                "\"fifo_s\":{:.6e},\"sched_s\":{:.6e},\"speedup\":{:.3},",
-                "\"fifo_blocks_copied\":{},\"fifo_messages\":{},",
+                "\"seq_s\":{:.6e},\"sched_s\":{:.6e},\"sched_over_seq\":{:.3},",
                 "\"sched_blocks_copied\":{},\"steals\":{},\"steal_attempts\":{},",
                 "\"idle_polls\":{},\"spurious_claims\":{},\"ready_hwm\":{},",
                 "\"tasks_run\":{},\"bmods_applied\":{},\"columns_factored\":{},",
@@ -157,11 +158,9 @@ fn main() {
             r.p,
             r.sched.workers,
             env_fields,
-            r.fifo_s,
+            r.seq_s,
             r.sched_s,
-            r.speedup(),
-            r.fifo.blocks_copied,
-            r.fifo.messages,
+            r.sched_over_seq(),
             r.sched.blocks_copied,
             r.sched.steals,
             r.sched.steal_attempts,

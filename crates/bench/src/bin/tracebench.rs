@@ -139,7 +139,9 @@ fn main() {
             r.kind.to_string(),
             format!("{pred:.3}"),
             format!("{:.3}", r.report.utilization),
-            format!("{:.1}%", 100.0 * r.report.bound_realized()),
+            r.report
+                .bound_realized()
+                .map_or_else(|| "n/a".to_string(), |x| format!("{:.1}%", 100.0 * x)),
             format!("{:.4}", r.report.phase_s[TaskKind::Idle as usize]),
             format!("{:.4}", r.report.phase_s[TaskKind::Steal as usize]),
         ]);
@@ -166,7 +168,7 @@ fn main() {
                 "  {{\"problem\":{},\"p\":{},\"kind\":{},\"block_policy\":\"uniform\",\"workers\":{},{}," ,
                 "\"predicted_overall\":{:.4},\"predicted_row\":{:.4},",
                 "\"predicted_col\":{:.4},\"predicted_diag\":{:.4},",
-                "\"utilization\":{:.4},\"bound_realized\":{:.4},",
+                "\"utilization\":{:.4},\"bound_realized\":{},",
                 "\"span_s\":{:.6e},\"busy_s\":{:.6e},\"total_s\":{:.6e},",
                 "\"bfac_s\":{:.6e},\"bdiv_s\":{:.6e},\"bmod_s\":{:.6e},",
                 "\"steal_s\":{:.6e},\"idle_s\":{:.6e},\"recv_s\":{:.6e},",
@@ -182,7 +184,7 @@ fn main() {
             pred.map(|b| b.col).unwrap_or(1.0),
             pred.map(|b| b.diag).unwrap_or(1.0),
             r.report.utilization,
-            r.report.bound_realized(),
+            r.report.bound_realized().map_or_else(|| "null".to_string(), |x| format!("{x:.4}")),
             r.report.span_s,
             r.report.busy_s,
             r.total_s,

@@ -1,85 +1,5 @@
-//! Offline shim for the slice of `crossbeam` this workspace uses: unbounded
-//! MPSC channels (backed by `std::sync::mpsc`, which covers the executors'
-//! pattern exactly — every receiver is owned by a single worker thread) and
-//! a Chase–Lev work-stealing deque for the shared-memory task scheduler.
-
-pub mod channel {
-    use std::sync::mpsc;
-
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
-
-    /// Sending half of an unbounded channel (cloneable).
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-    }
-
-    /// Receiving half of an unbounded channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout)
-        }
-
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn fan_in_from_clones() {
-            let (tx, rx) = unbounded::<u32>();
-            let handles: Vec<_> = (0..4u32)
-                .map(|i| {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || tx.send(i).unwrap())
-                })
-                .collect();
-            drop(tx);
-            for h in handles {
-                h.join().unwrap();
-            }
-            let mut got: Vec<u32> = rx.iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 1, 2, 3]);
-        }
-
-        #[test]
-        fn recv_errors_when_senders_dropped() {
-            let (tx, rx) = unbounded::<u8>();
-            drop(tx);
-            assert!(rx.recv().is_err());
-        }
-    }
-}
+//! Offline shim for the slice of `crossbeam` this workspace uses: a
+//! Chase–Lev work-stealing deque for the shared-memory task scheduler.
 
 pub mod deque {
     //! A fixed-capacity Chase–Lev work-stealing deque over `u64` payloads

@@ -14,12 +14,12 @@
 //! 3. **Map** — assign blocks to a `Pr × Pc` processor grid: domains at the
 //!    bottom of the tree, and a Cartesian-product map of the root portion
 //!    (cyclic or any of the paper's remapping heuristics).
-//! 4. **Factor** — sequentially, on real threads (one per virtual
-//!    processor), or on the simulated Paragon for performance studies.
-//! 5. **Solve** — triangular solves with the assembled factor.
+//! 4. **Factor** — sequentially, on the work-stealing scheduler's worker
+//!    threads, or on the simulated Paragon for performance studies.
+//! 5. **Solve** — triangular solves with the gathered factor.
 //!
 //! ```
-//! use cholesky_core::{Solver, SolverOptions};
+//! use cholesky_core::{SchedOptions, Solver, SolverOptions};
 //! use mapping::{ColPolicy, Heuristic, RowPolicy};
 //!
 //! let problem = sparsemat::gen::grid2d(12);
@@ -27,7 +27,7 @@
 //! // Factor on 4 simulated/real processors with the paper's best mapping.
 //! let asg = solver.assign(4, RowPolicy::Heuristic(Heuristic::IncreasingDepth),
 //!                         ColPolicy::Heuristic(Heuristic::Cyclic));
-//! let factor = solver.factor_parallel(&asg).unwrap();
+//! let (factor, _stats) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
 //! let b = vec![1.0; problem.n()];
 //! let x = solver.solve(&factor, &b);
 //! let report = solver.balance(&asg);
@@ -615,8 +615,7 @@ impl Solver {
     }
 
     /// Opens a repeated factor/solve session running the work-stealing
-    /// scheduler on the assignment's cached task DAG; `resolve_many_parallel`
-    /// is available on such sessions. The plan's
+    /// scheduler on the assignment's cached task DAG. The plan's
     /// [`SolverOptions::deadline`]/[`SolverOptions::stall_timeout`] are
     /// merged into `opts` (explicit `opts` values win).
     pub fn session_sched(&self, asg: &Assignment, opts: &SchedOptions) -> FactorSession {
@@ -665,17 +664,6 @@ impl Solver {
     pub fn factor_multifrontal(&self) -> Result<NumericFactor, fanout::Error> {
         let mut f = self.assemble();
         fanout::factorize_multifrontal(&mut f, &self.permuted)?;
-        Ok(f)
-    }
-
-    /// Parallel numeric factorization: one thread per virtual processor of
-    /// the assignment, exchanging completed blocks over channels. The task
-    /// plan comes from the plan's per-assignment cache
-    /// ([`SymbolicPlan::exec_templates`]).
-    pub fn factor_parallel(&self, asg: &Assignment) -> Result<NumericFactor, fanout::Error> {
-        let t = self.plan.exec_templates(asg);
-        let mut f = self.assemble();
-        fanout::factorize_threaded(&mut f, &t.plan)?;
         Ok(f)
     }
 
@@ -846,41 +834,6 @@ impl Solver {
         (x, fin)
     }
 
-    /// Distributed triangular solve: both substitution phases run on the
-    /// assignment's virtual processors without gathering the factor. The
-    /// task and solve plans come from the plan's per-assignment cache.
-    pub fn solve_parallel(
-        &self,
-        factor: &NumericFactor,
-        asg: &Assignment,
-        b: &[f64],
-    ) -> Vec<f64> {
-        self.solve_parallel_with(factor, asg, b, &mut SolveWorkspace::new())
-    }
-
-    /// [`Self::solve_parallel`] through a caller-owned [`SolveWorkspace`]
-    /// for the permutation buffers (the distributed phase manages its own
-    /// per-worker storage).
-    pub fn solve_parallel_with(
-        &self,
-        factor: &NumericFactor,
-        asg: &Assignment,
-        b: &[f64],
-        ws: &mut SolveWorkspace,
-    ) -> Vec<f64> {
-        let n = self.n();
-        assert_eq!(b.len(), n);
-        let t = self.plan.exec_templates(asg);
-        ws.pb.resize(n, 0.0);
-        self.analysis.perm.apply_to_vec_into(b, &mut ws.pb);
-        let px = fanout::solve_threaded_many_with(factor, &t.plan, &t.solve, &[&ws.pb])
-            .pop()
-            .expect("one lane in, one lane out");
-        let mut x = vec![0.0; n];
-        self.analysis.perm.apply_inverse_to_vec_into(&px, &mut x);
-        x
-    }
-
     /// Relative residual of a factor against the (permuted) input.
     pub fn residual(&self, factor: &NumericFactor) -> f64 {
         fanout::residual_norm(&self.permuted, factor)
@@ -915,7 +868,7 @@ mod tests {
         let p = sparsemat::gen::bcsstk_like("T", 120, 4);
         let solver = Solver::analyze_problem(&p, &opts(6));
         let asg = solver.assign_heuristic(4);
-        let f_par = solver.factor_parallel(&asg).unwrap();
+        let f_par = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
         let f_seq = solver.factor_seq().unwrap();
         assert!(solver.residual(&f_par) < 1e-12);
         let (_, _, a) = f_par.to_csc();
@@ -1137,7 +1090,7 @@ mod tests {
         };
         let solver = Solver::analyze_problem(&p, &pm);
         let asg = solver.assign_default(4);
-        let f = solver.factor_parallel(&asg).unwrap();
+        let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
         assert!(solver.residual(&f) < 1e-10);
         // Default options reproduce the paper's Table 7 recommendation.
         let d = Solver::analyze_problem(&p, &opts(4));

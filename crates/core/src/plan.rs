@@ -7,7 +7,7 @@
 //! factor/solve sessions ([`crate::FactorSession`]) can share it. The plan
 //! also lazily caches the *positional* templates that repeated numeric work
 //! needs — the input-entry scatter map, the factor CSC gather map, and the
-//! per-assignment execution structures (task DAG + distributed-solve plan) —
+//! per-assignment factorization task DAG —
 //! so a session's `refactor`/`resolve` hot path does no structure walks at
 //! all. Lazy construction keeps one-shot `Solver` users from paying for any
 //! of it.
@@ -17,7 +17,7 @@ use crate::resilience::ResourceEstimate;
 use crate::{OrderingChoice, PhaseSpan, PhaseTimings, SolverError, SolverOptions};
 use balance::{BalanceReport, CommStats};
 use blockmat::{BlockMatrix, BlockWork};
-use fanout::{AssemblyTemplate, CriticalPath, CscTemplate, SolvePlan};
+use fanout::{AssemblyTemplate, CriticalPath, CscTemplate};
 use mapping::{
     Assignment, ColPolicy, DomainPlan, Heuristic, ProcGrid, RowPolicy,
 };
@@ -35,20 +35,18 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Bound on cached per-assignment execution structures (task DAG + solve
-/// plan) per plan. Each entry holds the full block DAG; a caller sweeping
+/// Bound on cached per-assignment execution structures (task DAG) per
+/// plan. Each entry holds the full block DAG; a caller sweeping
 /// many grids/policies on one plan must not accumulate them all.
 pub const DEFAULT_EXEC_CAPACITY: usize = 16;
 
 /// Execution structures derived from one [`Assignment`]: the factorization
-/// task DAG and the distributed-solve structure. Cached per assignment
-/// signature on the plan (see [`SymbolicPlan::exec_templates`]).
+/// task DAG. Cached per assignment signature on the plan (see
+/// [`SymbolicPlan::exec_templates`]).
 #[derive(Debug)]
 pub struct ExecTemplates {
     /// The factorization plan (ownership, sends, receive counts, priorities).
     pub plan: Arc<fanout::Plan>,
-    /// The distributed triangular-solve structure.
-    pub solve: Arc<SolvePlan>,
 }
 
 /// Numeric reuse templates for one input structure: where every input entry
@@ -263,11 +261,10 @@ impl SymbolicPlan {
         fanout::critical_path(&self.bm, model)
     }
 
-    /// The execution structures (factorization task DAG + distributed-solve
-    /// plan) for an assignment, built once per distinct
-    /// [`Assignment::signature`] and shared thereafter. Repeated
-    /// factorizations and parallel solves under the same assignment skip
-    /// `Plan::build`/`SolvePlan::build` entirely.
+    /// The execution structures (factorization task DAG) for an assignment,
+    /// built once per distinct [`Assignment::signature`] and shared
+    /// thereafter. Repeated factorizations and simulations under the same
+    /// assignment skip `Plan::build` entirely.
     pub fn exec_templates(&self, asg: &Assignment) -> Arc<ExecTemplates> {
         let key = asg.signature();
         let mut map = lock_ignore_poison(&self.exec);
@@ -275,8 +272,7 @@ impl SymbolicPlan {
             return t.clone();
         }
         let plan = Arc::new(fanout::Plan::build(&self.bm, asg));
-        let solve = Arc::new(SolvePlan::build(&plan, &self.bm));
-        let t = Arc::new(ExecTemplates { plan, solve });
+        let t = Arc::new(ExecTemplates { plan });
         map.insert(key, t.clone());
         t
     }
@@ -348,7 +344,7 @@ fn original_entry_targets(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Solver, SolverOptions};
+    use crate::{SchedOptions, Solver, SolverOptions};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -373,7 +369,7 @@ mod tests {
         let t_after = solver.plan.exec_templates(&asg);
         assert!(std::sync::Arc::ptr_eq(&t_before, &t_after));
         // The plan still drives a full factorization.
-        let f = solver.factor_parallel(&asg).unwrap();
+        let (f, _) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
         assert!(solver.residual(&f) < 1e-12);
     }
 

@@ -25,9 +25,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Reusable buffers for the solve paths ([`Solver::solve_into`],
-/// [`Solver::solve_refined_with`], [`Solver::solve_parallel_with`], and the
-/// session resolves). All fields grow to their steady-state size on first
-/// use and are reused thereafter — repeated solves allocate nothing.
+/// [`Solver::solve_refined_with`], and the session resolves). All fields
+/// grow to their steady-state size on first use and are reused thereafter
+/// — repeated solves allocate nothing.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     /// Factor CSC column pointers (one-shot solve paths extract here).
@@ -377,37 +377,6 @@ impl FactorSession {
                 (0..n)
                     .map(|i| self.ws.lanes[perm.new_of_old(i) * k + r])
                     .collect()
-            })
-            .collect();
-        self.timings.resolve_s = t0.elapsed().as_secs_f64();
-        out
-    }
-
-    /// [`Self::resolve_many`] on the distributed solver: both substitution
-    /// phases run on the assignment's virtual processors with the cached
-    /// solve structure, all lanes per message. Requires a scheduled session
-    /// ([`Solver::session_sched`]); matches the sequential resolves to
-    /// floating-point summation order.
-    pub fn resolve_many_parallel(&mut self, bs: &[&[f64]]) -> Vec<Vec<f64>> {
-        assert!(self.factored, "refactor before resolve");
-        let SessionExecutor::Sched(t, _) = &self.exec else {
-            panic!("resolve_many_parallel requires a scheduled session (Solver::session_sched)");
-        };
-        let t0 = std::time::Instant::now();
-        let n = self.n();
-        let perm = &self.plan.analysis.perm;
-        let mut pbs: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
-        for lane in bs {
-            pbs.push(perm.apply_to_vec(lane));
-        }
-        let refs: Vec<&[f64]> = pbs.iter().map(|p| p.as_slice()).collect();
-        let pxs = fanout::solve_threaded_many_with(&self.factor, &t.plan, &t.solve, &refs);
-        let out = pxs
-            .into_iter()
-            .map(|px| {
-                let mut x = vec![0.0; n];
-                perm.apply_inverse_to_vec_into(&px, &mut x);
-                x
             })
             .collect();
         self.timings.resolve_s = t0.elapsed().as_secs_f64();

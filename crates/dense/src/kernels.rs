@@ -360,7 +360,7 @@ pub fn syrk_lt_set_strided(
 }
 
 // ---------------------------------------------------------------------------
-// Triangular solves for single right-hand sides (distributed solve phase)
+// Dense triangular solves for a single right-hand side
 // ---------------------------------------------------------------------------
 
 /// Solves `L·x = b` in place for one right-hand side, with `l` the row-major

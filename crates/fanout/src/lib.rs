@@ -1,27 +1,25 @@
-//! The block fan-out method (paper Section 2.3), in four executors.
+//! The block fan-out method (paper Section 2.3), in three executors.
 //!
 //! * [`seq`] — a sequential right-looking block factorization; the numeric
 //!   reference and the `tseq` baseline.
 //! * [`sched`] — the production shared-memory executor: the `p`-processor
 //!   protocol on `min(p, num_cpus)` work-stealing worker threads with
 //!   critical-path task priorities and zero-copy block publication.
-//!   [`factorize_threaded`] lives here.
-//! * [`threaded`] — the channel-based SPMD baseline: one OS thread per
-//!   virtual processor, blocks exchanged over channels, entirely data-driven
-//!   exactly as the paper describes ("a processor acts on received blocks in
-//!   the order in which they are received"). Kept (as [`factorize_fifo`])
-//!   for the scheduler's benchmark comparison.
-//! * [`sim`] — the same protocol executed on the discrete-event Paragon
-//!   model of the `simgrid` crate, tracking *time* instead of numerics. All
-//!   of the paper's performance experiments (Figure 1, Tables 5 and 7) are
-//!   regenerated with this executor.
+//! * [`sim`] — the paper's data-driven protocol ("a processor acts on
+//!   received blocks in the order in which they are received") executed on
+//!   the discrete-event Paragon model of the `simgrid` crate, tracking
+//!   *time* instead of numerics. All of the paper's performance experiments
+//!   (Figure 1, Tables 5 and 7) are regenerated with this executor.
 //!
 //! The executors share [`plan::Plan`] (who owns what, who must receive
-//! which completed block, how many updates each block awaits); the channel
-//! baseline and the simulator additionally share [`proto::ProtocolState`]
-//! (the per-processor data-driven state machine), so the simulated runs
-//! exercise the identical protocol logic that the numeric runs validate for
-//! correctness.
+//! which completed block, how many updates each block awaits). The
+//! simulator steps [`proto::ProtocolState`] (the per-processor data-driven
+//! state machine); [`factorize_protocol`], a single-threaded test oracle,
+//! steps the same state machine with real kernels, so the protocol the
+//! simulator times is checked numerically against [`factorize_seq`].
+//!
+//! Every factor is solved by one triangular solve on its gathered CSC
+//! ([`solve`]).
 
 pub mod cancel;
 pub mod critpath;
@@ -30,14 +28,12 @@ pub mod faults;
 pub mod multifrontal;
 pub mod plan;
 pub mod proto;
-pub mod psolve;
 pub mod reuse;
 pub mod sched;
 pub mod seq;
 pub mod sim;
 pub mod simplicial;
 pub mod solve;
-pub mod threaded;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use critpath::{block_levels, critical_path, CriticalPath};
@@ -45,19 +41,15 @@ pub use factor::NumericFactor;
 pub use faults::{Fault, FaultPlan};
 pub use multifrontal::factorize_multifrontal;
 pub use plan::Plan;
-pub use psolve::{solve_threaded, solve_threaded_many, solve_threaded_many_with, SolvePlan};
+pub use proto::factorize_protocol;
 pub use reuse::{AssemblyTemplate, CscTemplate};
-pub use sched::{
-    env_workers, factorize_sched, factorize_sched_opts, factorize_threaded, SchedOptions,
-    SchedStats,
-};
+pub use sched::{env_workers, factorize_sched, factorize_sched_opts, SchedOptions, SchedStats};
 pub use seq::{
     factorize_seq, factorize_seq_opts, factorize_seq_with_arena, FactorOpts, SeqStats,
 };
 pub use simplicial::{factorize_simplicial, factorize_simplicial_from, CscFactor};
 pub use sim::{block_ranks, simulate, simulate_traced, simulate_with_policy, SimOutcome, SimPolicy};
 pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi, solve_many};
-pub use threaded::{factorize_fifo, factorize_fifo_opts, FifoOptions, FifoStats};
 // Tracing vocabulary, re-exported so executor callers need no direct `trace`
 // dependency to configure or consume a trace.
 pub use trace::{CounterEvent, TaskKind, Trace, TraceEvent, TraceOpts};

@@ -1,4 +1,5 @@
-//! The static execution plan shared by the threaded and simulated executors.
+//! The static execution plan shared by the scheduled and simulated executors
+//! and the protocol oracle ([`crate::factorize_protocol`]).
 
 use blockmat::{for_each_bmod, BlockMatrix};
 use mapping::Assignment;

@@ -8,9 +8,10 @@
 //! are sent to every processor that needs them.
 //!
 //! The state machine itself is purely symbolic — it emits [`Action`]s in a
-//! data-dependency-respecting order — so the threaded executor (which
-//! applies real kernels) and the simulated executor (which charges model
-//! time) share it verbatim.
+//! data-dependency-respecting order. The simulated executor ([`crate::sim`])
+//! charges model time for them; [`factorize_protocol`], a single-threaded
+//! test oracle, applies real kernels for them, so the protocol the simulator
+//! times is checked numerically against the sequential factor.
 //!
 //! Pairing is *bucketed*: available source blocks of a column are kept in
 //! two lists — those whose panel can be the destination **row** here
@@ -20,8 +21,14 @@
 //! work stays proportional to the `BMOD`s this processor actually executes
 //! (each candidate is still confirmed with an exact ownership check).
 
+use crate::factor::NumericFactor;
 use crate::plan::Plan;
+use crate::seq::apply_bmod;
+use crate::{Error, StallReport};
 use blockmat::BlockMatrix;
+use dense::kernels::{potrf_with, trsm_right_lower_trans_with};
+use dense::KernelArena;
+use std::collections::VecDeque;
 
 /// One step the executor must perform, in emission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,6 +283,137 @@ impl ProtocolState {
     }
 }
 
+/// Runs the fan-out protocol on `f` in place, single-threaded: a **test
+/// oracle for the protocol**, not an executor.
+///
+/// One [`ProtocolState`] per virtual processor of `plan` is stepped against
+/// one in-flight queue of completed-block deliveries, and every emitted
+/// [`Action`] is applied to the one shared factor with the executors'
+/// kernels (no channels, no block copies: a completed block is never
+/// written again, so its consumers read it in place). `delivery_seed == 0`
+/// delivers in FIFO order; any other seed picks the next delivery
+/// pseudo-randomly, so receive-order variation is covered. The factor
+/// matches [`crate::factorize_seq`] to rounding (updates are summed in
+/// receive order).
+///
+/// A failing pivot is recorded and the column published as-is, so the
+/// protocol drains and the smallest failing column is reported as
+/// [`Error::NotPositiveDefinite`], exactly as the other executors do. A
+/// processor whose state is not [`ProtocolState::is_done`] once the queue
+/// is empty is a protocol bug, reported as [`Error::Stalled`].
+pub fn factorize_protocol(
+    f: &mut NumericFactor,
+    plan: &Plan,
+    delivery_seed: u64,
+) -> Result<(), Error> {
+    let bm = f.bm.clone();
+    let mut states: Vec<ProtocolState> =
+        (0..plan.p).map(|q| ProtocolState::new(plan, &bm, q as u32)).collect();
+    let mut run = ProtocolRun {
+        in_flight: VecDeque::new(),
+        rng: delivery_seed,
+        arena: KernelArena::new(),
+        fail_col: None,
+    };
+    let mut actions = Vec::new();
+    for st in states.iter_mut() {
+        st.start(plan, &bm, &mut actions);
+        run.apply(f, &bm, plan, &actions);
+    }
+    while let Some((q, j, b)) = run.next_delivery() {
+        states[q].on_receive(plan, &bm, j, b, &mut actions);
+        run.apply(f, &bm, plan, &actions);
+    }
+    if let Some(col) = run.fail_col {
+        return Err(Error::NotPositiveDefinite { col });
+    }
+    if states.iter().any(|st| !st.is_done()) {
+        return Err(Error::Stalled(Box::new(StallReport {
+            columns_total: bm.num_panels(),
+            ..StallReport::default()
+        })));
+    }
+    Ok(())
+}
+
+/// The shared network and numeric state of one [`factorize_protocol`] run.
+struct ProtocolRun {
+    /// Deliveries not yet received: `(destination processor, j, b)`.
+    in_flight: VecDeque<(usize, u32, u32)>,
+    /// Delivery-order state; 0 means FIFO.
+    rng: u64,
+    arena: KernelArena,
+    /// Smallest global column whose pivot failed.
+    fail_col: Option<usize>,
+}
+
+impl ProtocolRun {
+    /// Takes the next delivery: the oldest one when the seed is 0, else a
+    /// seeded pseudo-random pick (splitmix64).
+    fn next_delivery(&mut self) -> Option<(usize, u32, u32)> {
+        if self.rng == 0 || self.in_flight.is_empty() {
+            return self.in_flight.pop_front();
+        }
+        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let pick = (z ^ (z >> 31)) % self.in_flight.len() as u64;
+        self.in_flight.swap_remove_back(pick as usize)
+    }
+
+    /// Applies one processor's actions to the shared factor and queues each
+    /// completed block for its remote consumers.
+    fn apply(&mut self, f: &mut NumericFactor, bm: &BlockMatrix, plan: &Plan, actions: &[Action]) {
+        for &act in actions {
+            match act {
+                Action::Bmod { k, a, b, dest_j, dest_b } => {
+                    let (k, dest_j, dest_b) = (k as usize, dest_j as usize, dest_b as usize);
+                    let blk_a = bm.cols[k].blocks[a as usize];
+                    let blk_b = bm.cols[k].blocks[b as usize];
+                    // Sources live in column k < dest_j: one split borrows both.
+                    let (src, dst) = f.data.split_at_mut(dest_j);
+                    let offs = &f.offsets;
+                    let hi = offs[dest_j].get(dest_b + 1).copied().unwrap_or(dst[0].len());
+                    apply_bmod(
+                        bm,
+                        &mut dst[0][offs[dest_j][dest_b]..hi],
+                        blk_a.row_panel as usize,
+                        blk_b.row_panel as usize,
+                        dest_b,
+                        &src[k][offs[k][a as usize]..],
+                        bm.block_rows(k, &blk_a),
+                        &src[k][offs[k][b as usize]..],
+                        bm.block_rows(k, &blk_b),
+                        bm.col_width(k),
+                        &mut self.arena,
+                    );
+                }
+                Action::Complete { j, b } => {
+                    let (j, b) = (j as usize, b as usize);
+                    let c = bm.col_width(j);
+                    let lo = f.offsets[j][b];
+                    let hi = f.offsets[j].get(b + 1).copied().unwrap_or(f.data[j].len());
+                    let (diag, rest) = f.data[j].split_at_mut(c * c);
+                    if b == 0 {
+                        if let Err(e) = potrf_with(diag, c, &mut self.arena) {
+                            let col = bm.partition.cols(j).start + e.pivot;
+                            self.fail_col = Some(self.fail_col.map_or(col, |m| m.min(col)));
+                        }
+                    } else {
+                        let block = &mut rest[lo - c * c..hi - c * c];
+                        let rows = bm.cols[j].blocks[b].nrows();
+                        trsm_right_lower_trans_with(diag, c, block, rows, &mut self.arena);
+                    }
+                    for &dest in &plan.send_to[j][b] {
+                        self.in_flight.push_back((dest as usize, j as u32, b as u32));
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,6 +613,70 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The unfactored matrix and its block storage, in fill-reducing order.
+    fn factor_input(prob: &sparsemat::Problem, bs: usize) -> (NumericFactor, BlockWork) {
+        let perm = ordering::order_problem(prob);
+        let analysis =
+            symbolic::analyze(prob.matrix.pattern(), &perm, &AmalgamationOpts::default());
+        let pa = analysis.perm.apply_to_matrix(&prob.matrix);
+        let bm = std::sync::Arc::new(BlockMatrix::build(analysis.supernodes, bs));
+        let w = BlockWork::compute(&bm, &WorkModel::default());
+        (NumericFactor::from_matrix(bm, &pa), w)
+    }
+
+    #[test]
+    fn protocol_oracle_matches_seq_across_p_and_delivery_orders() {
+        for (prob, bs) in [
+            (sparsemat::gen::grid2d(12), 3),
+            (sparsemat::gen::bcsstk_like("T", 200, 4), 4),
+        ] {
+            let (f0, w) = factor_input(&prob, bs);
+            let mut f_seq = f0.clone();
+            crate::factorize_seq(&mut f_seq).unwrap();
+            let (_, _, v_seq) = f_seq.to_csc();
+            // Seeded orders must really reorder: some factor differs from
+            // the FIFO one in its last bits (updates summed differently).
+            let mut reordered = 0;
+            for p in [1, 4, 16, 64] {
+                let plan = Plan::build(&f0.bm, &Assignment::cyclic(&f0.bm, &w, p));
+                let mut v_fifo = Vec::new();
+                for seed in [0, 1, 2, 3, 7, 42, 1234, 0xDEAD_BEEF, u64::MAX] {
+                    let mut f = f0.clone();
+                    // Ok means every processor's state reached is_done().
+                    factorize_protocol(&mut f, &plan, seed)
+                        .unwrap_or_else(|e| panic!("{} p={p} seed {seed}: {e}", prob.name));
+                    let (_, _, v) = f.to_csc();
+                    for (x, y) in v_seq.iter().zip(&v) {
+                        assert!(
+                            (x - y).abs() < 1e-9 * (1.0 + x.abs()),
+                            "{} p={p} seed {seed}: {y} vs seq {x}",
+                            prob.name
+                        );
+                    }
+                    if seed == 0 {
+                        v_fifo = v;
+                    } else if v.iter().zip(&v_fifo).any(|(x, y)| x.to_bits() != y.to_bits()) {
+                        reordered += 1;
+                    }
+                }
+            }
+            assert!(reordered > 0, "{}: no seed changed the delivery order", prob.name);
+        }
+    }
+
+    #[test]
+    fn protocol_oracle_reports_an_unfinished_processor_as_a_stall() {
+        // A plan promising a message that is never sent leaves processor 1
+        // waiting once the network drains.
+        let (f0, w) = factor_input(&sparsemat::gen::grid2d(8), 3);
+        let mut plan = Plan::build(&f0.bm, &Assignment::cyclic(&f0.bm, &w, 4));
+        plan.expected_recv[1] += 1;
+        for seed in [0, 5] {
+            let err = factorize_protocol(&mut f0.clone(), &plan, seed).unwrap_err();
+            assert!(matches!(err, Error::Stalled(_)), "seed {seed}: {err:?}");
         }
     }
 }

@@ -3,12 +3,11 @@
 //! The paper's Section 5 diagnosis (see [`crate::critpath`]) is that the
 //! benchmark problems have ~50% more concurrency than the achieved
 //! performance — the gap is scheduling and communication, not want of
-//! parallelism. The original executor ([`crate::threaded`], kept as the
-//! measurable baseline) spawns one OS thread per *virtual* processor and
-//! snapshots every remotely-consumed block into an `Arc<Vec<f64>>`, which is
+//! parallelism. Running the protocol literally — one OS thread per *virtual*
+//! processor, every remotely-consumed block snapshotted and shipped — is
 //! pure overhead once every consumer shares one address space.
 //!
-//! This module replaces that with an asynchronous task-DAG runtime:
+//! This module runs it as an asynchronous task-DAG runtime instead:
 //!
 //! * **Workers, not vprocs.** The `p`-processor plan runs on
 //!   `min(p, num_cpus)` worker threads. The plan's block ownership only
@@ -176,8 +175,7 @@ pub struct SchedStats {
     pub columns_factored: u64,
     /// Completed-block snapshot copies. Zero by construction in this
     /// shared-memory path (consumers read the factor storage in place);
-    /// the field exists so benchmarks can assert that against the
-    /// channel-based baseline's copy count.
+    /// the field exists so benchmarks can assert it.
     pub blocks_copied: u64,
     /// Pivots perturbed by NPD graceful degradation (0 unless
     /// [`SchedOptions::perturb_npd`] is set *and* triggered).
@@ -196,19 +194,13 @@ pub struct SchedStats {
     pub trace: Option<Trace>,
 }
 
-/// Factors `f` in place with the work-stealing scheduler under default
-/// options. Drop-in for the old executor, plus statistics.
-pub fn factorize_sched(f: &mut NumericFactor, plan: &Plan) -> Result<SchedStats, Error> {
-    factorize_sched_opts(f, plan, &SchedOptions::default())
-}
-
 /// Factors `f` in place using `plan`'s virtual-processor protocol on
-/// `min(p, num_cpus)` work-stealing worker threads.
+/// `min(p, num_cpus)` work-stealing worker threads, under default options.
 ///
 /// The factor is bit-identical to [`crate::factorize_seq`] regardless of
 /// worker count, steal order, or priorities.
-pub fn factorize_threaded(f: &mut NumericFactor, plan: &Plan) -> Result<(), Error> {
-    factorize_sched(f, plan).map(|_| ())
+pub fn factorize_sched(f: &mut NumericFactor, plan: &Plan) -> Result<SchedStats, Error> {
+    factorize_sched_opts(f, plan, &SchedOptions::default())
 }
 
 /// [`factorize_sched`] with explicit [`SchedOptions`].
@@ -1350,20 +1342,5 @@ mod tests {
         let mut f = NumericFactor::from_matrix(bm, &a);
         let err = factorize_sched(&mut f, &plan).unwrap_err();
         assert_eq!(err, Error::NotPositiveDefinite { col: 1 });
-    }
-
-    #[test]
-    fn threaded_wrapper_keeps_signature_and_matches_seq() {
-        let prob = sparsemat::gen::grid2d(7);
-        let (mut f_par, plan, _) = prepared(&prob, 3, 4);
-        let mut f_seq = f_par.clone();
-        factorize_seq(&mut f_seq).unwrap();
-        let ok: Result<(), Error> = factorize_threaded(&mut f_par, &plan);
-        ok.unwrap();
-        let (_, _, v_seq) = f_seq.to_csc();
-        let (_, _, v_par) = f_par.to_csc();
-        for (a, b) in v_seq.iter().zip(&v_par) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

@@ -12,9 +12,8 @@
 
 use blockmat::{BlockMatrix, BlockWork, WorkModel};
 use fanout::{
-    factorize_fifo_opts, factorize_sched_opts, factorize_seq, factorize_seq_opts,
-    CancelReason, CancelToken, Error, FactorOpts, FaultPlan, FifoOptions, NumericFactor,
-    Plan, SchedOptions,
+    factorize_sched_opts, factorize_seq, factorize_seq_opts, CancelReason, CancelToken, Error,
+    FactorOpts, FaultPlan, NumericFactor, Plan, SchedOptions,
 };
 use mapping::Assignment;
 use std::sync::Arc;
@@ -22,8 +21,7 @@ use std::time::{Duration, Instant};
 use symbolic::AmalgamationOpts;
 
 /// Hard ceiling on any cancelled run: far above the poll intervals
-/// involved (100ms supervisor tick, 20ms fifo recv timeout), far below a
-/// hang.
+/// involved (100ms supervisor tick), far below a hang.
 const PROMPT: Duration = Duration::from_secs(10);
 
 fn prepared(prob: &sparsemat::Problem, bs: usize, p: usize) -> (NumericFactor, Plan) {
@@ -99,14 +97,6 @@ fn pre_fired_token_cancels_every_executor_promptly() {
     );
     expect_cancelled(
         || {
-            let opts = FifoOptions { cancel: Some(fired()), ..Default::default() };
-            factorize_fifo_opts(&mut f0.clone(), &plan, &opts).map(|_| ())
-        },
-        CancelReason::Caller,
-        "fifo pre-fired",
-    );
-    expect_cancelled(
-        || {
             let opts = FactorOpts { cancel: Some(fired()), ..Default::default() };
             factorize_seq_opts(&mut f0.clone(), &opts).map(|_| ())
         },
@@ -128,14 +118,6 @@ fn zero_deadline_expires_every_executor() {
         },
         CancelReason::Deadline,
         "sched zero deadline",
-    );
-    expect_cancelled(
-        || {
-            let opts = FifoOptions { deadline: dl, ..Default::default() };
-            factorize_fifo_opts(&mut f0.clone(), &plan, &opts).map(|_| ())
-        },
-        CancelReason::Deadline,
-        "fifo zero deadline",
     );
     expect_cancelled(
         || {
@@ -271,16 +253,6 @@ fn generous_deadline_never_fires() {
     factorize_seq_opts(&mut f_seq, &FactorOpts { deadline: dl, ..Default::default() })
         .unwrap();
     assert_bit_identical(&f_ref, &f_seq, "seq generous deadline");
-
-    let mut f_fifo = f0.clone();
-    factorize_fifo_opts(&mut f_fifo, &plan, &FifoOptions { deadline: dl, ..Default::default() })
-        .unwrap();
-    let (_, _, va) = f_ref.to_csc();
-    let (_, _, vb) = f_fifo.to_csc();
-    for (i, (a, b)) in va.iter().zip(&vb).enumerate() {
-        // Fifo applies updates in receive order: rounding-level agreement.
-        assert!((a - b).abs() < 1e-9, "fifo entry {i}: {a:e} vs {b:e}");
-    }
 }
 
 #[test]

@@ -1,12 +1,12 @@
-//! Degenerate problem shapes pushed through all three numeric executors
-//! (sequential, work-stealing scheduler, FIFO baseline): empty and 1×1
-//! matrices, far more virtual processors than blocks, and a single-supernode
-//! factor. None of these may hang, panic, or disagree with the sequential
-//! factor.
+//! Degenerate problem shapes pushed through both numeric executors
+//! (sequential, work-stealing scheduler) and the protocol oracle
+//! (`factorize_protocol`, several delivery orders): empty and 1×1 matrices,
+//! far more virtual processors than blocks, and a single-supernode factor.
+//! None of these may hang, panic, or disagree with the sequential factor.
 
 use blockmat::{BlockMatrix, BlockWork, WorkModel};
 use fanout::{
-    factorize_fifo, factorize_sched_opts, factorize_seq, NumericFactor, Plan, SchedOptions,
+    factorize_protocol, factorize_sched_opts, factorize_seq, NumericFactor, Plan, SchedOptions,
 };
 use mapping::Assignment;
 use std::sync::Arc;
@@ -27,7 +27,20 @@ fn prepared_natural(a: &sparsemat::SymCscMatrix, bs: usize, p: usize) -> (Numeri
     (f, plan)
 }
 
-fn through_all_executors(a: &sparsemat::SymCscMatrix, bs: usize, p: usize, what: &str) {
+/// Virtual processor counts every shape runs at.
+const PROCS: [usize; 4] = [1, 4, 16, 64];
+
+/// FIFO delivery (0) plus nine seeded receive orders.
+const DELIVERY_SEEDS: [u64; 10] = [0, 1, 2, 3, 7, 42, 1234, 99_991, 0xDEAD_BEEF, u64::MAX];
+
+/// Runs every executor at each of [`PROCS`] virtual processors.
+fn through_all_executors(a: &sparsemat::SymCscMatrix, bs: usize, what: &str) {
+    for p in PROCS {
+        through_all_executors_at(a, bs, p, &format!("{what} p={p}"));
+    }
+}
+
+fn through_all_executors_at(a: &sparsemat::SymCscMatrix, bs: usize, p: usize, what: &str) {
     let (f0, plan) = prepared_natural(a, bs, p);
     let mut f_seq = f0.clone();
     factorize_seq(&mut f_seq).unwrap_or_else(|e| panic!("{what}: seq failed: {e}"));
@@ -42,30 +55,35 @@ fn through_all_executors(a: &sparsemat::SymCscMatrix, bs: usize, p: usize, what:
         assert!(x.to_bits() == y.to_bits(), "{what}: sched entry {i}: {x:e} vs {y:e}");
     }
 
-    let mut f_fifo = f0.clone();
-    factorize_fifo(&mut f_fifo, &plan).unwrap_or_else(|e| panic!("{what}: fifo failed: {e}"));
-    let (_, _, v_fifo) = f_fifo.to_csc();
-    assert_eq!(v_seq.len(), v_fifo.len(), "{what}: fifo factor size");
-    for (i, (x, y)) in v_seq.iter().zip(&v_fifo).enumerate() {
-        // The FIFO baseline applies updates in receive order, so it is only
-        // summation-order equal, not bit-equal, on general inputs; on these
-        // degenerate shapes there is at most one update per block, which
-        // makes bit-equality hold too.
-        assert!(x.to_bits() == y.to_bits(), "{what}: fifo entry {i}: {x:e} vs {y:e}");
+    for seed in DELIVERY_SEEDS {
+        let mut f_proto = f0.clone();
+        factorize_protocol(&mut f_proto, &plan, seed)
+            .unwrap_or_else(|e| panic!("{what}: protocol seed {seed} failed: {e}"));
+        let (_, _, v_proto) = f_proto.to_csc();
+        assert_eq!(v_seq.len(), v_proto.len(), "{what}: protocol factor size");
+        for (i, (x, y)) in v_seq.iter().zip(&v_proto).enumerate() {
+            // The protocol applies updates in receive order, so it is only
+            // summation-order equal, not bit-equal, on general inputs; on
+            // these degenerate shapes there is at most one update per block,
+            // which makes bit-equality hold too.
+            assert!(
+                x.to_bits() == y.to_bits(),
+                "{what}: protocol seed {seed} entry {i}: {x:e} vs {y:e}"
+            );
+        }
     }
 }
 
 #[test]
 fn empty_matrix() {
     let a = sparsemat::SymCscMatrix::from_coords(0, &[]).unwrap();
-    through_all_executors(&a, 4, 1, "0x0");
-    through_all_executors(&a, 4, 4, "0x0 p=4");
+    through_all_executors(&a, 4, "0x0");
 }
 
 #[test]
 fn one_by_one_matrix() {
     let a = sparsemat::SymCscMatrix::from_coords(1, &[(0, 0, 9.0)]).unwrap();
-    through_all_executors(&a, 4, 1, "1x1");
+    through_all_executors(&a, 4, "1x1");
     let (f0, plan) = prepared_natural(&a, 4, 1);
     let mut f = f0.clone();
     factorize_seq(&mut f).unwrap();
@@ -82,7 +100,7 @@ fn far_more_processors_than_blocks() {
     let perm = ordering::order_problem(&prob);
     let analysis = symbolic::analyze(prob.matrix.pattern(), &perm, &AmalgamationOpts::default());
     let pa = analysis.perm.apply_to_matrix(&prob.matrix);
-    through_all_executors(&pa, 8, 64, "p >> blocks");
+    through_all_executors(&pa, 8, "p >> blocks");
 }
 
 #[test]
@@ -90,7 +108,7 @@ fn single_supernode_dense_matrix() {
     // A dense matrix amalgamates into one supernode; with bs larger than n
     // the whole factor is a single diagonal block — one task, no updates.
     let prob = sparsemat::gen::dense(12);
-    through_all_executors(&prob.matrix, 64, 4, "single supernode");
+    through_all_executors(&prob.matrix, 64, "single supernode");
 }
 
 #[test]
@@ -99,5 +117,5 @@ fn single_column_chain() {
     // its predecessor — minimal concurrency, maximal wakeup traffic.
     let edges: Vec<(u32, u32, f64)> = (0..19).map(|i| (i, i + 1, 1.0)).collect();
     let a = sparsemat::gen::spd_from_edges(20, &edges);
-    through_all_executors(&a, 3, 4, "chain");
+    through_all_executors(&a, 3, "chain");
 }

@@ -15,8 +15,8 @@
 
 use blockmat::{BlockMatrix, BlockWork, WorkModel};
 use fanout::{
-    factorize_fifo, factorize_multifrontal, factorize_sched_opts, factorize_seq,
-    factorize_seq_opts, factorize_threaded, Error, FactorOpts, FaultPlan, NumericFactor, Plan,
+    factorize_multifrontal, factorize_protocol, factorize_sched, factorize_sched_opts,
+    factorize_seq, factorize_seq_opts, Error, FactorOpts, FaultPlan, NumericFactor, Plan,
     SchedOptions,
 };
 use mapping::Assignment;
@@ -53,6 +53,9 @@ fn assert_bit_identical(f_seq: &NumericFactor, f_par: &NumericFactor, what: &str
         assert!(a.to_bits() == b.to_bits(), "{what}: entry {i} differs: {a:e} vs {b:e}");
     }
 }
+
+/// Protocol-oracle delivery orders: FIFO (0) plus eight seeded ones.
+const DELIVERY_SEEDS: [u64; 9] = [0, 1, 2, 3, 7, 42, 1234, 0xDEAD_BEEF, u64::MAX];
 
 /// Hard ceiling on any single run: generous multiple of the watchdog
 /// timeout used below, so a hung scheduler fails the test rather than the
@@ -119,10 +122,8 @@ fn run_one(f0: &NumericFactor, plan: &Plan, fp: &FaultPlan, seed: u64, what: &st
     }
 }
 
-/// Agreement to each executor's own contract: the scheduler applies BMODs
-/// in a deterministic order (bit-identical to sequential); the FIFO and
-/// channel baselines apply them in receive order, so they agree to within
-/// accumulated rounding only.
+/// Rounding-level agreement: the protocol oracle applies BMODs in receive
+/// order, so it matches the sequential factor to accumulated rounding only.
 fn assert_close(f_seq: &NumericFactor, f_par: &NumericFactor, what: &str) {
     let (_, _, v_seq) = f_seq.to_csc();
     let (_, _, v_par) = f_par.to_csc();
@@ -138,7 +139,7 @@ fn executors_agree_on_amalgamated_plans() {
     // walk the padded structure identically, so the agreement guarantees
     // that hold on fundamental plans must survive merging unchanged:
     // bit-identity for the deterministic scheduler, rounding-level
-    // agreement for the receive-order fifo/threaded baselines.
+    // agreement for the receive-order protocol oracle.
     for (prob, bs) in [
         (sparsemat::gen::grid2d(12), 4usize),
         (sparsemat::gen::bcsstk_like("T", 240, 4), 6),
@@ -149,12 +150,14 @@ fn executors_agree_on_amalgamated_plans() {
             blocks_seen.push(f0.bm.num_blocks());
             let mut f_seq = f0.clone();
             factorize_seq(&mut f_seq).expect("seq");
-            let mut f_thr = f0.clone();
-            factorize_threaded(&mut f_thr, &plan).expect("threaded");
-            assert_close(&f_seq, &f_thr, &format!("{} threaded", prob.name));
-            let mut f_fifo = f0.clone();
-            factorize_fifo(&mut f_fifo, &plan).expect("fifo");
-            assert_close(&f_seq, &f_fifo, &format!("{} fifo", prob.name));
+            let mut f_def = f0.clone();
+            factorize_sched(&mut f_def, &plan).expect("sched default");
+            assert_bit_identical(&f_seq, &f_def, &format!("{} sched default", prob.name));
+            for seed in DELIVERY_SEEDS {
+                let mut f_proto = f0.clone();
+                factorize_protocol(&mut f_proto, &plan, seed).expect("protocol");
+                assert_close(&f_seq, &f_proto, &format!("{} protocol seed {seed}", prob.name));
+            }
             for workers in [1usize, 3] {
                 let mut f_sched = f0.clone();
                 let opts = SchedOptions {
@@ -375,7 +378,10 @@ fn all_executors_agree_on_the_failing_column() {
         want,
         "sched"
     );
-    assert_eq!(factorize_fifo(&mut f0.clone(), &plan).unwrap_err(), want, "fifo");
+    for seed in DELIVERY_SEEDS {
+        let got = factorize_protocol(&mut f0.clone(), &plan, seed).unwrap_err();
+        assert_eq!(got, want, "protocol seed {seed}");
+    }
     assert_eq!(
         factorize_multifrontal(&mut f0.clone(), &a).unwrap_err(),
         want,
@@ -384,30 +390,39 @@ fn all_executors_agree_on_the_failing_column() {
 }
 
 #[test]
-fn injected_npd_is_consistent_across_seq_sched_fifo() {
+fn injected_npd_is_consistent_across_seq_sched_protocol() {
     // Data-level NPD injection hits the scattered factor storage, which
-    // seq, sched, and fifo all consume — the error must be identical.
+    // seq, sched, and the protocol oracle all consume — the error must be
+    // identical at every processor count and delivery order.
     let prob = sparsemat::gen::grid2d(9);
-    let (f0, plan) = prepared(&prob, 3, 4);
-    let mut tested = 0;
-    for seed in 0..12u64 {
-        let fp = FaultPlan::new(seed).with_npd(80);
-        let mut f_seq = f0.clone();
-        let cols = fp.inject_npd(&mut f_seq);
-        let Some(&c) = cols.first() else { continue };
-        tested += 1;
-        let want = Error::NotPositiveDefinite { col: c };
-        assert_eq!(factorize_seq(&mut f_seq), Err(want.clone()), "seed {seed} seq");
-        let mut f_sched = f0.clone();
-        fp.inject_npd(&mut f_sched);
-        assert_eq!(
-            factorize_sched_opts(&mut f_sched, &plan, &SchedOptions::default()).unwrap_err(),
-            want,
-            "seed {seed} sched"
-        );
-        let mut f_fifo = f0.clone();
-        fp.inject_npd(&mut f_fifo);
-        assert_eq!(factorize_fifo(&mut f_fifo, &plan).unwrap_err(), want, "seed {seed} fifo");
+    for p in [1usize, 4, 16, 64] {
+        let (f0, plan) = prepared(&prob, 3, p);
+        let mut tested = 0;
+        for seed in 0..12u64 {
+            let fp = FaultPlan::new(seed).with_npd(80);
+            let mut f_seq = f0.clone();
+            let cols = fp.inject_npd(&mut f_seq);
+            let Some(&c) = cols.first() else { continue };
+            tested += 1;
+            let want = Error::NotPositiveDefinite { col: c };
+            assert_eq!(factorize_seq(&mut f_seq), Err(want.clone()), "p={p} seed {seed} seq");
+            let mut f_sched = f0.clone();
+            fp.inject_npd(&mut f_sched);
+            assert_eq!(
+                factorize_sched_opts(&mut f_sched, &plan, &SchedOptions::default()).unwrap_err(),
+                want,
+                "p={p} seed {seed} sched"
+            );
+            for order in DELIVERY_SEEDS {
+                let mut f_proto = f0.clone();
+                fp.inject_npd(&mut f_proto);
+                assert_eq!(
+                    factorize_protocol(&mut f_proto, &plan, order).unwrap_err(),
+                    want,
+                    "p={p} seed {seed} protocol order {order}"
+                );
+            }
+        }
+        assert!(tested >= 6, "only {tested}/12 seeds injected anything — raise the rate");
     }
-    assert!(tested >= 6, "only {tested}/12 seeds injected anything — raise the rate");
 }

@@ -1,7 +1,8 @@
 //! Executor invariance and buffer sizing under irregular panel partitions:
 //! widths above the nominal block size (via `with_width_fn` or a
 //! [`BlockPolicy`]) must factor and solve bit-identically to the
-//! sequential reference on every executor.
+//! sequential reference on every executor, and to rounding through the
+//! protocol oracle.
 
 use blockmat::{BlockMatrix, BlockPartition, BlockPolicy, BlockWork, WorkModel};
 use fanout::{NumericFactor, Plan};
@@ -22,8 +23,12 @@ fn factor_bits(f: &NumericFactor) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs seq, sched, and fifo over one fixed partition and asserts all
-/// three produce bit-identical factors and a small residual.
+/// FIFO delivery (0) plus eight seeded receive orders.
+const DELIVERY_SEEDS: [u64; 9] = [0, 1, 2, 3, 7, 42, 1234, 0xDEAD_BEEF, u64::MAX];
+
+/// Runs seq and sched over one fixed partition and asserts both produce
+/// bit-identical factors and a small residual, then checks the protocol
+/// oracle against them at every delivery seed.
 fn assert_executors_agree(bm: Arc<BlockMatrix>, pa: &sparsemat::SymCscMatrix, procs: usize) {
     let w = BlockWork::compute(&bm, &WorkModel::default());
     let asg = Assignment::build(
@@ -45,19 +50,24 @@ fn assert_executors_agree(bm: Arc<BlockMatrix>, pa: &sparsemat::SymCscMatrix, pr
     fanout::factorize_sched(&mut f_sched, &plan).unwrap();
     assert_eq!(factor_bits(&f_sched), reference, "sched != seq");
 
-    // The FIFO baseline applies updates in receive order, so on general
-    // inputs it is summation-order equal, not bit-equal (the contract
-    // pinned in degenerate.rs) — irregular partitions must not change
-    // that: the run completes and agrees to rounding.
-    let mut f_fifo = NumericFactor::from_matrix(bm.clone(), pa);
-    fanout::factorize_fifo(&mut f_fifo, &plan).unwrap();
+    // The protocol applies updates in receive order, so on general inputs
+    // it is summation-order equal, not bit-equal (the contract pinned in
+    // degenerate.rs) — irregular partitions must not change that: the run
+    // completes and agrees to rounding.
     let (_, _, v_seq) = f_seq.to_csc();
-    let (_, _, v_fifo) = f_fifo.to_csc();
-    for (x, y) in v_seq.iter().zip(&v_fifo) {
-        assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()), "fifo {y} vs seq {x}");
+    for seed in DELIVERY_SEEDS {
+        let mut f_proto = NumericFactor::from_matrix(bm.clone(), pa);
+        fanout::factorize_protocol(&mut f_proto, &plan, seed).unwrap();
+        let (_, _, v_proto) = f_proto.to_csc();
+        for (x, y) in v_seq.iter().zip(&v_proto) {
+            assert!(
+                (x - y).abs() < 1e-9 * (1.0 + x.abs()),
+                "protocol seed {seed}: {y} vs seq {x}"
+            );
+        }
     }
 
-    // Solves agree across the gathered and distributed paths too.
+    // Solves agree bit-for-bit too.
     let n = pa.n();
     let b: Vec<f64> = (0..n).map(|i| ((i * 29 % 13) as f64) * 0.25 - 1.5).collect();
     let x1 = fanout::solve(&f_seq, &b);
@@ -89,12 +99,14 @@ fn width_fn_wider_than_nominal_factors_on_every_executor() {
         partition.block_size
     );
     let bm = Arc::new(BlockMatrix::from_partition(analysis.supernodes.clone(), partition));
-    assert_executors_agree(bm, &pa, 4);
+    for procs in [1, 4, 16, 64] {
+        assert_executors_agree(bm.clone(), &pa, procs);
+    }
 }
 
-/// Every irregular policy yields bit-identical factors across seq, sched,
-/// and fifo for a fixed partition (the executors must be partition-shape
-/// agnostic).
+/// Every irregular policy yields bit-identical factors across seq and
+/// sched, and protocol factors equal to rounding, for a fixed partition
+/// (the executors must be partition-shape agnostic).
 #[test]
 fn block_policies_factor_bit_identically_across_executors() {
     let p = sparsemat::gen::bcsstk_like("T", 300, 5);

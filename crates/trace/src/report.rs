@@ -22,11 +22,13 @@ pub struct PredictedBalance {
     pub col: f64,
     /// Diagonal balance of the 2-D mapped portion.
     pub diag: f64,
+    /// The processor count `P` the bound was predicted for.
+    pub p: usize,
 }
 
 impl From<&BalanceReport> for PredictedBalance {
     fn from(r: &BalanceReport) -> Self {
-        Self { overall: r.overall, row: r.row, col: r.col, diag: r.diag }
+        Self { overall: r.overall, row: r.row, col: r.col, diag: r.diag, p: r.per_proc.len() }
     }
 }
 
@@ -117,11 +119,15 @@ impl RunReport {
     }
 
     /// `achieved / predicted_overall`: how much of the bound the execution
-    /// realized (1.0 when no prediction is attached).
-    pub fn bound_realized(&self) -> f64 {
+    /// realized. `None` without a prediction, and when the run's worker
+    /// count differs from the predicted `P` — utilization over `w` workers
+    /// divided by a bound for `P ≠ w` processors compares unlike things.
+    pub fn bound_realized(&self) -> Option<f64> {
         match &self.predicted {
-            Some(p) if p.overall > 0.0 => self.utilization / p.overall,
-            _ => 1.0,
+            Some(p) if p.overall > 0.0 && p.p == self.workers => {
+                Some(self.utilization / p.overall)
+            }
+            _ => None,
         }
     }
 
@@ -158,8 +164,13 @@ impl std::fmt::Display for RunReport {
             self.utilization, self.busy_s, self.workers, self.span_s
         )?;
         if let Some(p) = &self.predicted {
-            if p.overall > 0.0 {
-                writeln!(f, "bound realized      {:.1}%", 100.0 * self.bound_realized())?;
+            match self.bound_realized() {
+                Some(r) => writeln!(f, "bound realized      {:.1}%", 100.0 * r)?,
+                None => writeln!(
+                    f,
+                    "bound realized      n/a ({} workers, bound predicted for P = {})",
+                    self.workers, p.p
+                )?,
             }
         }
         write!(f, "phase breakdown    ")?;
@@ -213,7 +224,7 @@ mod tests {
         assert!((rep.busy_s - 1.5).abs() < 1e-12);
         assert!((rep.utilization - 0.75).abs() < 1e-12);
         assert!((rep.worker_spread() - 0.5).abs() < 1e-12);
-        assert_eq!(rep.bound_realized(), 1.0);
+        assert_eq!(rep.bound_realized(), None);
         let s = rep.to_string();
         assert!(s.contains("(no assignment)"));
         assert!(s.contains("util 0.750"));
@@ -250,10 +261,17 @@ mod tests {
             total_2d: 2,
         };
         let rep = RunReport::new("sched p=2", &t, Some(&pred));
-        assert!((rep.bound_realized() - 0.75 / 0.9).abs() < 1e-12);
+        assert!((rep.bound_realized().unwrap() - 0.75 / 0.9).abs() < 1e-12);
         let s = rep.to_string();
         assert!(s.contains("overall 0.900"));
-        assert!(s.contains("bound realized"));
+        assert!(s.contains("bound realized      83.3%"));
         assert!(!s.contains("warning"));
+        // Two workers against a bound predicted for P = 4: no ratio.
+        let pred4 = BalanceReport { per_proc: vec![1; 4], total: 4, ..pred };
+        let rep = RunReport::new("sched p=4", &t, Some(&pred4));
+        assert_eq!(rep.bound_realized(), None);
+        let s = rep.to_string();
+        assert!(s.contains("overall 0.900"));
+        assert!(s.contains("bound realized      n/a (2 workers, bound predicted for P = 4)"));
     }
 }

@@ -3,7 +3,7 @@
 //! executors.
 
 use block_fanout_cholesky::core::{
-    ColPolicy, Heuristic, MachineModel, RowPolicy, Solver, SolverOptions,
+    ColPolicy, Heuristic, MachineModel, RowPolicy, SchedOptions, Solver, SolverOptions,
 };
 use block_fanout_cholesky::sparsemat::{gen, Problem};
 
@@ -46,6 +46,8 @@ fn every_family_factors_and_solves_sequentially() {
     }
 }
 
+/// The work-stealing scheduler (the parallel executor) against the
+/// sequential reference.
 #[test]
 fn threaded_executor_agrees_with_sequential_across_configs() {
     let problem = gen::grid2d(12);
@@ -59,7 +61,7 @@ fn threaded_executor_agrees_with_sequential_across_configs() {
                 (RowPolicy::AltPerProcessor, ColPolicy::Subtree),
             ] {
                 let asg = solver.assign(p, row, col);
-                let f_par = solver.factor_parallel(&asg).unwrap();
+                let f_par = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
                 let (_, _, vs) = f_seq.to_csc();
                 let (_, _, vp) = f_par.to_csc();
                 let max_diff = vs
@@ -99,7 +101,7 @@ fn domains_off_still_works_end_to_end() {
     let solver = Solver::analyze_problem(&problem, &o);
     let asg = solver.assign_cyclic(4);
     assert!(asg.domains.is_none());
-    let f = solver.factor_parallel(&asg).unwrap();
+    let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!(solver.residual(&f) < 1e-12);
     check_solve(&problem, &solver, &f);
 }
@@ -160,7 +162,7 @@ fn amalgamation_preserves_the_solution() {
 
 #[test]
 fn predicted_balance_matches_hand_computed_bound_on_amalgamated_blocks() {
-    use block_fanout_cholesky::core::{AmalgamationOpts, AnalyzeOpts, SchedOptions};
+    use block_fanout_cholesky::core::{AmalgamationOpts, AnalyzeOpts};
     let problem = gen::grid2d(8);
     let o = SolverOptions {
         block_size: 4,
@@ -246,32 +248,10 @@ fn coprime_grid_assignment_runs() {
         RowPolicy::Heuristic(Heuristic::Cyclic),
         ColPolicy::Heuristic(Heuristic::Cyclic),
     );
-    let f = solver.factor_parallel(&asg).unwrap();
+    let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!(solver.residual(&f) < 1e-12);
     let out = solver.simulate(&asg, &MachineModel::paragon());
     assert!(out.efficiency > 0.0 && out.efficiency <= 1.0);
-}
-
-#[test]
-fn distributed_solve_matches_gathered_solve() {
-    let problem = gen::cube3d(5);
-    let solver = Solver::analyze_problem(&problem, &opts(6));
-    for p in [1, 4, 9] {
-        let asg = solver.assign_heuristic(p);
-        let factor = solver.factor_parallel(&asg).unwrap();
-        let n = problem.n();
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos() + 2.0).collect();
-        let mut b = vec![0.0; n];
-        problem.matrix.mul_vec(&x_true, &mut b);
-        let x_gathered = solver.solve(&factor, &b);
-        let x_dist = solver.solve_parallel(&factor, &asg, &b);
-        for (i, (g, d)) in x_gathered.iter().zip(&x_dist).enumerate() {
-            assert!((g - d).abs() < 1e-9, "p={p} x[{i}]: {g} vs {d}");
-        }
-        for (d, want) in x_dist.iter().zip(&x_true) {
-            assert!((d - want).abs() < 1e-7);
-        }
-    }
 }
 
 #[test]
