@@ -16,7 +16,7 @@
 //!    (cyclic or any of the paper's remapping heuristics).
 //! 4. **Factor** — sequentially, on the work-stealing scheduler's worker
 //!    threads, or on the simulated Paragon for performance studies.
-//! 5. **Solve** — triangular solves with the gathered factor.
+//! 5. **Solve** — supernodal triangular solves on the block storage.
 //!
 //! ```
 //! use cholesky_core::{SchedOptions, Solver, SolverOptions};
@@ -79,7 +79,7 @@ pub use fanout::{
 pub use mapping::{
     Assignment, ColPolicy, DomainParams, DomainPlan, Heuristic, ProcGrid, RowPolicy,
 };
-pub use plan::{ExecTemplates, NumericTemplates, SymbolicPlan};
+pub use plan::{ExecTemplates, LazyCscTemplate, NumericTemplates, SymbolicPlan};
 pub use resilience::{ResilienceStats, ResourceBudget, ResourceEstimate, RetryPolicy};
 pub use session::{FactorSession, SolveWorkspace};
 pub use simgrid::MachineModel;
@@ -747,10 +747,9 @@ impl Solver {
     }
 
     /// [`Self::solve`] through a caller-owned [`SolveWorkspace`] into a
-    /// caller-provided buffer: the factor CSC extraction, the permuted
-    /// right-hand side, and the substitution all run in reused storage, so
-    /// repeated solves allocate nothing after warmup. Bit-identical to
-    /// [`Self::solve`].
+    /// caller-provided buffer: the permuted right-hand side and the panel
+    /// substitution's scratch live in reused storage, so repeated solves
+    /// allocate nothing after warmup. Bit-identical to [`Self::solve`].
     pub fn solve_into(
         &self,
         factor: &NumericFactor,
@@ -761,10 +760,9 @@ impl Solver {
         let n = self.n();
         assert_eq!(b.len(), n);
         assert_eq!(out.len(), n);
-        factor.to_csc_into(&mut ws.cp, &mut ws.ri, &mut ws.v);
         ws.pb.resize(n, 0.0);
         self.analysis.perm.apply_to_vec_into(b, &mut ws.pb);
-        fanout::solve_csc(&ws.cp, &ws.ri, &ws.v, &mut ws.pb);
+        fanout::solve_lanes(factor, &mut ws.pb, 1, &mut ws.scratch);
         self.analysis.perm.apply_inverse_to_vec_into(&ws.pb, out);
     }
 
@@ -783,8 +781,7 @@ impl Solver {
     }
 
     /// [`Self::solve_refined`] through a caller-owned [`SolveWorkspace`]:
-    /// the factor CSC is extracted once per call (not once per refinement
-    /// step) and every intermediate vector lives in the workspace.
+    /// every intermediate vector lives in the workspace.
     pub fn solve_refined_with(
         &self,
         a: &SymCscMatrix,
@@ -796,13 +793,12 @@ impl Solver {
         let n = self.n();
         assert_eq!(a.n(), n);
         let perm = &self.analysis.perm;
-        factor.to_csc_into(&mut ws.cp, &mut ws.ri, &mut ws.v);
         ws.pb.resize(n, 0.0);
         ws.resid.resize(n, 0.0);
         ws.dx.resize(n, 0.0);
         let mut x = vec![0.0; n];
         perm.apply_to_vec_into(b, &mut ws.pb);
-        fanout::solve_csc(&ws.cp, &ws.ri, &ws.v, &mut ws.pb);
+        fanout::solve_lanes(factor, &mut ws.pb, 1, &mut ws.scratch);
         perm.apply_inverse_to_vec_into(&ws.pb, &mut x);
         let bnorm = b.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-300);
         let mut rnorm = f64::INFINITY;
@@ -817,7 +813,7 @@ impl Solver {
             }
             rnorm = new_norm;
             perm.apply_to_vec_into(&ws.resid, &mut ws.pb);
-            fanout::solve_csc(&ws.cp, &ws.ri, &ws.v, &mut ws.pb);
+            fanout::solve_lanes(factor, &mut ws.pb, 1, &mut ws.scratch);
             perm.apply_inverse_to_vec_into(&ws.pb, &mut ws.dx);
             for (xi, di) in x.iter_mut().zip(&ws.dx) {
                 *xi += di;

@@ -28,7 +28,7 @@ use std::time::Duration;
 /// budget admits everything (the default).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
-    /// Cap on numeric factor storage, in bytes
+    /// Cap on a session's numeric memory, in bytes
     /// ([`ResourceEstimate::factor_bytes`]).
     pub max_factor_bytes: Option<u64>,
     /// Cap on factorization floating-point operations
@@ -47,8 +47,10 @@ impl ResourceBudget {
 /// The cost of one factorization, known exactly from symbolic analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceEstimate {
-    /// Bytes of numeric block storage one factor/session allocates
-    /// (stored factor elements × 8; block padding included).
+    /// Bytes a sequential session allocates through its first refactor and
+    /// solve: the block storage (stored factor elements × 8, block padding
+    /// included) with its per-panel bookkeeping, the solve buffers, and the
+    /// kernel arena.
     pub factor_bytes: u64,
     /// Floating-point operations of one numeric factorization.
     pub flops: u64,

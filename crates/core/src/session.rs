@@ -1,21 +1,23 @@
 //! Repeated factor/solve sessions over a shared symbolic plan.
 //!
 //! A [`FactorSession`] owns everything a repeated numeric cycle needs —
-//! block storage, kernel arena, gathered factor CSC, solve workspaces — and
-//! reuses all of it across calls. After the first
+//! block storage, kernel arena, solve workspace — and reuses all of it
+//! across calls. `L` lives once, in the block storage: solves run on it
+//! directly ([`fanout::solve_lanes`]), with no CSC copy. After the first
 //! [`refactor`](FactorSession::refactor)/[`resolve`](FactorSession::resolve)
-//! pair the hot path performs **zero symbolic work and zero allocation**:
-//! assembly is a zero-fill plus one write per input entry through the plan's
-//! precomputed scatter map, factorization rebuilds nothing (the sequential
-//! executor reuses the session arena; the scheduled executor runs the
-//! cached task DAG), and solves run on the gathered CSC through reused
-//! permutation buffers.
+//! pair the sequential hot path performs **zero symbolic work and zero
+//! allocation**: assembly is a zero-fill plus one write per input entry
+//! through the plan's precomputed scatter map, factorization rebuilds
+//! nothing (the sequential executor reuses the session arena; the scheduled
+//! executor runs the cached task DAG), and solves run on the panel storage
+//! through reused permutation and scratch buffers.
 //!
 //! Both paths are bit-identical to the one-shot pipeline: `refactor`
 //! produces exactly the factor of fresh permute + assemble + factorize on
 //! the same values, and `resolve`/`resolve_many` produce exactly
-//! [`Solver::solve`](crate::Solver::solve)'s bits (the multi-RHS kernel
-//! keeps each lane's operation sequence identical to the single-RHS one).
+//! [`Solver::solve`](crate::Solver::solve)'s bits (the multi-RHS solve
+//! keeps each lane's operation sequence identical to the single-RHS one,
+//! and both match the reference CSC solve bit for bit).
 
 use crate::plan::{ExecTemplates, NumericTemplates, SymbolicPlan};
 use crate::resilience::{ResilienceStats, RetryPolicy};
@@ -25,17 +27,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Reusable buffers for the solve paths ([`Solver::solve_into`],
-/// [`Solver::solve_refined_with`], and the session resolves). All fields
+/// [`Solver::solve_refined_with`], and the session resolves): vectors only,
+/// since every solve reads the factor's block storage in place. All fields
 /// grow to their steady-state size on first use and are reused thereafter
 /// — repeated solves allocate nothing.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
-    /// Factor CSC column pointers (one-shot solve paths extract here).
-    pub(crate) cp: Vec<usize>,
-    /// Factor CSC row indices.
-    pub(crate) ri: Vec<u32>,
-    /// Factor CSC values.
-    pub(crate) v: Vec<f64>,
     /// Permuted right-hand side / in-place solution.
     pub(crate) pb: Vec<f64>,
     /// Iterative-refinement residual.
@@ -44,6 +41,9 @@ pub struct SolveWorkspace {
     pub(crate) dx: Vec<f64>,
     /// Lane-interleaved multi-RHS buffer.
     pub(crate) lanes: Vec<f64>,
+    /// Per-panel copy of the solution rows the panel solve works on
+    /// ([`fanout::solve_lanes`]).
+    pub(crate) scratch: Vec<f64>,
 }
 
 impl SolveWorkspace {
@@ -73,8 +73,6 @@ pub struct FactorSession {
     templates: Arc<NumericTemplates>,
     exec: SessionExecutor,
     factor: NumericFactor,
-    /// Factor values gathered into CSC order after each refactorization.
-    csc_values: Vec<f64>,
     arena: dense::KernelArena,
     ws: SolveWorkspace,
     factored: bool,
@@ -120,7 +118,6 @@ impl FactorSession {
                 Some((t, o)) => SessionExecutor::Sched(t, o),
             },
             factor,
-            csc_values: Vec::new(),
             arena: dense::KernelArena::new(),
             ws: SolveWorkspace::new(),
             factored: false,
@@ -181,10 +178,10 @@ impl FactorSession {
     /// lower-triangle entries in column-major order — exactly
     /// [`sparsemat::SymCscMatrix::values`] of a matrix sharing the analyzed
     /// pattern. No symbolic work runs: the values scatter straight into the
-    /// reused block storage through the plan's precomputed map, the
-    /// executor factors in place, and the factor CSC is re-gathered for the
-    /// solve paths. The factor is bit-identical to a fresh
-    /// permute + assemble + factorize of the same values.
+    /// reused block storage through the plan's precomputed map and the
+    /// executor factors in place, where the solves read it. The factor is
+    /// bit-identical to a fresh permute + assemble + factorize of the same
+    /// values.
     ///
     /// Failed attempts are governed by [`Self::retry`]: contained worker
     /// panics and scheduler stalls retry after a deterministic backoff,
@@ -251,7 +248,6 @@ impl FactorSession {
             };
             match result {
                 Ok(()) => {
-                    self.templates.csc.gather_into(&self.factor, &mut self.csc_values);
                     self.factored = true;
                     self.poisoned = false;
                     self.timings.refactor_s = t0.elapsed().as_secs_f64();
@@ -338,16 +334,16 @@ impl FactorSession {
         let perm = &self.plan.analysis.perm;
         self.ws.pb.resize(n, 0.0);
         perm.apply_to_vec_into(b, &mut self.ws.pb);
-        let csc = &self.templates.csc;
-        fanout::solve_csc(&csc.col_ptr, &csc.row_idx, &self.csc_values, &mut self.ws.pb);
+        fanout::solve_lanes(&self.factor, &mut self.ws.pb, 1, &mut self.ws.scratch);
         perm.apply_inverse_to_vec_into(&self.ws.pb, out);
         self.timings.resolve_s = t0.elapsed().as_secs_f64();
     }
 
     /// Solves `A·xᵣ = bᵣ` for a batch of right-hand sides, streaming the
-    /// factor **once** for the whole batch (lane-interleaved blocked
-    /// kernel). Each returned solution is bit-identical to
-    /// [`Self::resolve`] on the same right-hand side.
+    /// factor **once** for the whole batch (lane-interleaved panel solve).
+    /// Each returned solution is bit-identical to [`Self::resolve`] on the
+    /// same right-hand side. Allocates only the returned vectors once the
+    /// workspace has seen a batch of this size.
     pub fn resolve_many(&mut self, bs: &[&[f64]]) -> Vec<Vec<f64>> {
         assert!(self.factored, "refactor before resolve");
         let t0 = std::time::Instant::now();
@@ -356,29 +352,28 @@ impl FactorSession {
         if k == 0 {
             return Vec::new();
         }
-        let perm = &self.plan.analysis.perm;
-        self.ws.lanes.resize(n * k, 0.0);
-        for (r, lane) in bs.iter().enumerate() {
-            assert_eq!(lane.len(), n);
-            for (i, &v) in lane.iter().enumerate() {
-                self.ws.lanes[perm.new_of_old(i) * k + r] = v;
+        for b in bs {
+            assert_eq!(b.len(), n);
+        }
+        // Row-major over the permutation: each original row fills (and
+        // later empties) one contiguous k-lane run of the lane buffer.
+        let new_of_old = self.plan.analysis.perm.new_of_old_vec();
+        let lanes = &mut self.ws.lanes;
+        lanes.resize(n * k, 0.0);
+        for (i, &p) in new_of_old.iter().enumerate() {
+            let row = &mut lanes[p as usize * k..(p as usize + 1) * k];
+            for (v, b) in row.iter_mut().zip(bs) {
+                *v = b[i];
             }
         }
-        let csc = &self.templates.csc;
-        fanout::solve_csc_multi(
-            &csc.col_ptr,
-            &csc.row_idx,
-            &self.csc_values,
-            &mut self.ws.lanes,
-            k,
-        );
-        let out = (0..k)
-            .map(|r| {
-                (0..n)
-                    .map(|i| self.ws.lanes[perm.new_of_old(i) * k + r])
-                    .collect()
-            })
-            .collect();
+        fanout::solve_lanes(&self.factor, lanes, k, &mut self.ws.scratch);
+        let mut out = vec![vec![0.0; n]; k];
+        for (i, &p) in new_of_old.iter().enumerate() {
+            let row = &lanes[p as usize * k..(p as usize + 1) * k];
+            for (x, &v) in out.iter_mut().zip(row) {
+                x[i] = v;
+            }
+        }
         self.timings.resolve_s = t0.elapsed().as_secs_f64();
         out
     }

@@ -64,25 +64,28 @@ impl KernelArena {
     /// should be the largest block dimension (rows or columns) the worker
     /// will feed to any kernel; larger requests later still grow lazily.
     pub fn preallocate(&mut self, max_dim: usize) {
-        // Packing panels are bounded by one cache-blocking tile each (plus
-        // microkernel padding), never by the full operand.
-        let kc = max_dim.min(crate::pack::KC);
-        let ap = (max_dim.min(crate::pack::MC) + crate::pack::MR) * kc;
-        let bp = (max_dim.min(crate::pack::NC) + crate::pack::NR) * kc;
+        let [ap, bp, scratch, wbuf] = buffer_lens(max_dim, max_dim);
         if self.packs.ap.len() < ap {
             self.packs.ap.resize(ap, 0.0);
         }
         if self.packs.bp.len() < bp {
             self.packs.bp.resize(bp, 0.0);
         }
-        // Scatter scratch holds a full BMOD product; the panel-copy buffer
-        // holds one factorization panel.
-        if self.scratch.len() < max_dim * max_dim {
-            self.scratch.resize(max_dim * max_dim, 0.0);
+        if self.scratch.len() < scratch {
+            self.scratch.resize(scratch, 0.0);
         }
-        if self.wbuf.len() < max_dim * crate::kernels::NB {
-            self.wbuf.resize(max_dim * crate::kernels::NB, 0.0);
+        if self.wbuf.len() < wbuf {
+            self.wbuf.resize(wbuf, 0.0);
         }
+    }
+
+    /// Estimated bytes an arena holds after factoring blocks of at most
+    /// `max_dim` rows and columns whose panels have at most `panel_rows`
+    /// off-diagonal rows (the blocked triangular solve of a panel copies
+    /// and packs all of them). An admission-control estimate: the buffers'
+    /// lazy growth may round capacities up.
+    pub fn bytes_for(max_dim: usize, panel_rows: usize) -> usize {
+        buffer_lens(max_dim, max_dim.max(panel_rows)).iter().sum::<usize>() * 8
     }
 
     /// Returns a scatter scratch buffer of `len` elements (contents
@@ -105,6 +108,19 @@ impl KernelArena {
         }
         (&mut self.wbuf[..len], &mut self.packs)
     }
+}
+
+/// Element counts `[ap, bp, scratch, wbuf]` covering kernels on blocks of at
+/// most `max_dim` rows and columns and panels of at most `tall` rows.
+fn buffer_lens(max_dim: usize, tall: usize) -> [usize; 4] {
+    // Packing panels are bounded by one cache-blocking tile each (plus
+    // microkernel padding), never by the full operand.
+    let kc = max_dim.min(crate::pack::KC);
+    let ap = (tall.min(crate::pack::MC) + crate::pack::MR) * kc;
+    let bp = (max_dim.min(crate::pack::NC) + crate::pack::NR) * kc;
+    // Scatter scratch holds a full BMOD product; the panel-copy buffer
+    // holds one factorization panel.
+    [ap, bp, max_dim * max_dim, tall * crate::kernels::NB]
 }
 
 #[cfg(test)]

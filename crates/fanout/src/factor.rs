@@ -194,30 +194,15 @@ impl NumericFactor {
     /// Extracts the factor as column-compressed arrays
     /// `(col_ptr, row_idx, values)` over the stored structure (explicit
     /// zeros from amalgamation included), rows ascending within columns and
-    /// diagonal first. Used by the triangular solver.
+    /// diagonal first. The input of the reference CSC solve
+    /// ([`crate::solve_csc`]) and of factor bit comparisons in tests; no
+    /// solve path calls it.
     pub fn to_csc(&self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-        let mut col_ptr = Vec::new();
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        self.to_csc_into(&mut col_ptr, &mut row_idx, &mut values);
-        (col_ptr, row_idx, values)
-    }
-
-    /// [`Self::to_csc`] into caller-provided buffers (cleared and refilled;
-    /// capacity is reused, so repeated extraction over the same structure
-    /// allocates nothing after the first call).
-    pub fn to_csc_into(
-        &self,
-        col_ptr: &mut Vec<usize>,
-        row_idx: &mut Vec<u32>,
-        values: &mut Vec<f64>,
-    ) {
         let bm = &self.bm;
         let n = bm.sn.n();
-        col_ptr.clear();
-        col_ptr.resize(n + 1, 0);
-        row_idx.clear();
-        values.clear();
+        let mut col_ptr = vec![0; n + 1];
+        let mut row_idx = Vec::new();
+        let mut values = Vec::new();
         for j in 0..n {
             let pj = bm.partition.panel_of_col[j] as usize;
             let c = bm.col_width(pj);
@@ -239,6 +224,7 @@ impl NumericFactor {
             }
             col_ptr[j + 1] = row_idx.len();
         }
+        (col_ptr, row_idx, values)
     }
 
     /// Per-phase flop counts `(bfac, bdiv, bmod)` of factoring this block

@@ -18,8 +18,9 @@
 //! steps the same state machine with real kernels, so the protocol the
 //! simulator times is checked numerically against [`factorize_seq`].
 //!
-//! Every factor is solved by one triangular solve on its gathered CSC
-//! ([`solve`]).
+//! Every factor is solved by one supernodal triangular solve on its panel
+//! storage ([`solve_lanes`]); the CSC kernels ([`solve_csc`],
+//! [`solve_csc_multi`]) remain only as its bit-identity reference.
 
 pub mod cancel;
 pub mod critpath;
@@ -49,7 +50,7 @@ pub use seq::{
 };
 pub use simplicial::{factorize_simplicial, factorize_simplicial_from, CscFactor};
 pub use sim::{block_ranks, simulate, simulate_traced, simulate_with_policy, SimOutcome, SimPolicy};
-pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi, solve_many};
+pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi, solve_lanes};
 // Tracing vocabulary, re-exported so executor callers need no direct `trace`
 // dependency to configure or consume a trace.
 pub use trace::{CounterEvent, TaskKind, Trace, TraceEvent, TraceOpts};

@@ -2,17 +2,18 @@
 //!
 //! A solver that refactors the same structure with new values should not pay
 //! for symbolic work twice — and not for *positional* work either: locating
-//! the block and flat offset of every input entry (assembly) and of every
-//! factor entry (the CSC extraction that feeds the triangular solve) depends
-//! only on the block structure. These templates compute those positions
-//! once; afterwards [`AssemblyTemplate::assemble_into`] is a zero-fill plus
-//! one write per input entry, and [`CscTemplate::gather_into`] is one read
-//! per factor entry — both allocation-free.
-//!
-//! Both templates reproduce the reference paths bit-for-bit:
-//! `assemble_into` writes exactly the values that
+//! the block and flat offset of every input entry depends only on the block
+//! structure. [`AssemblyTemplate`] computes those positions once; afterwards
+//! [`AssemblyTemplate::assemble_into`] is a zero-fill plus one write per
+//! input entry, allocation-free, and writes exactly the values that
 //! [`NumericFactor::from_matrix_parallel`] writes (same positions, same
-//! source floats), and `gather_into` reads values in exactly the order of
+//! source floats).
+//!
+//! [`CscTemplate`] is the factor-storage → CSC gather map behind the
+//! reference CSC solve ([`crate::solve_csc`]). Solves run on the panel
+//! storage ([`crate::solve_lanes`]); the gather map exists so tests and
+//! replay harnesses can rebuild the CSC oracle cheaply, and
+//! [`CscTemplate::gather_into`] reads values in exactly the order of
 //! [`NumericFactor::to_csc`].
 
 use crate::factor::NumericFactor;
@@ -121,13 +122,16 @@ impl AssemblyTemplate {
     }
 }
 
-/// Precomputed factor-storage → CSC gather map.
+/// Precomputed factor-storage → CSC gather map: the reference side of the
+/// panel solve, never on a solve path.
 ///
 /// The structure side of [`NumericFactor::to_csc`] (column pointers, row
 /// indices, and the flat storage position of every entry) is fixed per block
 /// structure; only the values change between refactorizations. Gathering
 /// through the template fills a reused value buffer with exactly the floats
-/// `to_csc` would produce, in the same order.
+/// `to_csc` would produce, in the same order, for the CSC oracle
+/// ([`crate::solve_csc`]). It costs 20 bytes per factor entry, so plans
+/// build it only on demand.
 #[derive(Debug, Clone)]
 pub struct CscTemplate {
     /// Factor column pointers (length `n + 1`).
